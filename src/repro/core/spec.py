@@ -97,6 +97,26 @@ def get_from_module(name, namespace, kind="object"):
         ) from None
 
 
+def _checked_keys(cls, data, table, allowed=None):
+    """``dict(data)``, refusing keys ``cls`` does not know.
+
+    ``allowed`` defaults to the dataclass fields.  A mistyped key
+    (``sead = 3``) or a retired one must fail loudly, not silently
+    run the default it was meant to override.
+    """
+    data = dict(data or {})
+    if allowed is None:
+        allowed = [f.name for f in fields(cls)]
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(
+            "unknown %s key%s %s (allowed: %s)"
+            % (table, "s" if len(unknown) > 1 else "",
+               ", ".join(repr(k) for k in unknown), ", ".join(allowed))
+        )
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Spec dataclasses
 # ---------------------------------------------------------------------------
@@ -141,7 +161,7 @@ class GeometrySpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**dict(data or {}))
+        return cls(**_checked_keys(cls, data, "geometry"))
 
     @classmethod
     def from_overrides(cls, overrides):
@@ -156,32 +176,29 @@ class GeometrySpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Event-engine discipline selection (result-neutral by contract).
+    """Event-queue discipline selection (result-neutral by contract).
 
-    Maps one-for-one onto the engine escape hatches: ``queue`` →
-    ``REPRO_ENGINE_QUEUE``, ``shards`` → ``REPRO_ENGINE_SHARDS``,
-    ``fuse`` → ``REPRO_SIM_FUSE``.  ``None`` inherits the ambient
-    environment (the default engine).  Engine choice never enters
-    :meth:`ExperimentSpec.cache_key`: all disciplines are bit-identical
-    (scripts/equivalence_matrix.py is the standing proof).
+    ``queue`` maps onto the ``REPRO_ENGINE_QUEUE`` escape hatch:
+    ``"calendar"`` (the default queue) or ``"heap"`` (the oracle).
+    ``None`` inherits the ambient environment.  Engine choice never
+    enters :meth:`ExperimentSpec.cache_key`: both disciplines are
+    bit-identical (scripts/equivalence_matrix.py is the standing proof).
     """
 
     queue: str = None  # None (ambient) | "calendar" | "heap"
-    shards: str = None  # None (ambient) | "0" | "auto" | a shard count
-    fuse: str = None  # None (ambient) | "0" | "1" | "aggressive"
 
-    _ENV = (
-        ("queue", "REPRO_ENGINE_QUEUE"),
-        ("shards", "REPRO_ENGINE_SHARDS"),
-        ("fuse", "REPRO_SIM_FUSE"),
-    )
+    QUEUES = (None, "calendar", "heap")
+
+    def __post_init__(self):
+        if self.queue not in self.QUEUES:
+            raise ValueError(
+                "engine.queue %r: expected 'calendar', 'heap' or unset"
+                % (self.queue,)
+            )
 
     def env(self):
         """Environment overrides: ``{var: value-or-None}`` (None=unset)."""
-        return {
-            var: None if getattr(self, name) is None else str(getattr(self, name))
-            for name, var in self._ENV
-        }
+        return {"REPRO_ENGINE_QUEUE": self.queue}
 
     def is_default(self):
         return self == EngineSpec()
@@ -195,12 +212,7 @@ class EngineSpec:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data or {})
-        # TOML/JSON may carry shard counts / fuse modes as numbers.
-        for name in ("shards", "fuse"):
-            if name in data and data[name] is not None:
-                data[name] = str(data[name])
-        return cls(**data)
+        return cls(**_checked_keys(cls, data, "engine"))
 
 
 @dataclass(frozen=True)
@@ -223,7 +235,7 @@ class ProbeSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**dict(data or {}))
+        return cls(**_checked_keys(cls, data, "probes"))
 
 
 def _sorted_pairs(mapping_or_pairs):
@@ -409,9 +421,13 @@ class ExperimentSpec:
             out["overrides"] = dict(self.extra_overrides)
         return out
 
+    #: The keys :meth:`to_dict` emits (and :meth:`from_dict` accepts).
+    KEYS = ("workload", "design", "scale", "seed", "mult", "geometry",
+            "engine", "probes", "overrides")
+
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
+        data = _checked_keys(cls, data, "spec", cls.KEYS)
         return cls(
             workload=data["workload"],
             design=data["design"],
@@ -519,9 +535,13 @@ class SweepSpec:
             out["overrides"] = dict(self.extra_overrides)
         return out
 
+    #: The keys :meth:`to_dict` emits (and :meth:`from_dict` accepts).
+    KEYS = ("name", "workloads", "designs", "scale", "seed", "mult",
+            "geometry", "engine", "probes", "overrides")
+
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
+        data = _checked_keys(cls, data, "sweep", cls.KEYS)
         return cls(
             workloads=tuple(data.get("workloads") or ()),
             designs=tuple(data.get("designs") or ()),
@@ -587,8 +607,7 @@ def design_group(name):
 #: Engine modes of scripts/equivalence_matrix.py, as EngineSpecs.
 ENGINE_MODES = {
     "default": EngineSpec(),
-    "heap-oracle": EngineSpec(queue="heap", fuse="0"),
-    "sharded": EngineSpec(shards="auto"),
+    "heap-oracle": EngineSpec(queue="heap"),
 }
 
 #: The subset the paper evaluates with 64 KB pages (Figure 11).

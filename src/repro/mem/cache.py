@@ -65,22 +65,6 @@ class Cache:
         entries[line] = True
         return False
 
-    def access_if_hit(self, addr):
-        """Look up ``addr`` only if present: a hit behaves exactly like
-        :meth:`access` (LRU refresh + hit count), a miss mutates
-        *nothing* — no fill, no miss count.  The CU's fused fast path
-        uses this to ask "would the classic access hit?" and consume a
-        hit immediately, while leaving a miss untouched for the stepped
-        path to perform at its classic time (see :mod:`repro.sim.cu`).
-        """
-        line = addr // self.line_size
-        entries = self._sets[line % self.num_sets]
-        if line in entries:
-            entries.move_to_end(line)
-            self.hits += 1
-            return True
-        return False
-
     def probe(self, addr):
         """Presence check with no side effects."""
         line = self.line_of(addr)

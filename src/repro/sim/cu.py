@@ -9,8 +9,7 @@ throughput, which is the back-pressure mechanism behind every result in
 the paper.
 
 Performance notes — the slot state machine is the hottest callback chain
-in the simulator, and three structural optimizations live here (see
-docs/performance.md for the full safety argument):
+in the simulator:
 
 * **Vectorized trace precomputation**: :meth:`ComputeUnit.add_cta`
   derives each CTA's ``vpn`` (``trace >> page_shift``) and page-offset
@@ -19,112 +18,25 @@ docs/performance.md for the full safety argument):
   lists, so the per-access path indexes a list instead of calling
   ``int(trace[i])`` plus two geometry methods.
 
-* **Fused zero-heap fast path**: when an access hits the L1 TLB *and*
-  the L1 cache — the steady-state majority — its data-access event is
-  eliminated: the cache lookup happens at issue time and completion is
-  delegated to the classic ``_complete`` event at
-  ``issue + l1_tlb_latency + l1_cache_latency``, so the slot schedules
-  **one** follow-up event instead of the two of the stepped
-  ``_issue → _data_access → _complete`` chain — or consumes an entire
-  *run* of hit/hit accesses (up to ``_FUSE_RUN_CAP``) with a single
-  event.  Safety: the subtle hazard is not the CU-private L1
-  structures but global tie order — eliminating an event shifts the
-  sequence numbers that break FIFO ties among same-cycle events
-  machine-wide.  The default guard is therefore *provable*: fuse only
-  when the event queue holds no foreign event before the fused
-  completion time t3, so nothing can execute — hence nothing can push
-  — inside the fused window, and the elimination shifts every later
-  sequence number by the same constant, preserving every (time, seq)
-  tie order exactly.  This one check also subsumes the CU-local
-  hazards (a pending translation response or a sibling slot's stepped
-  access would be a queued event inside the window).  Everything else
-  falls back to the stepped path, byte-for-byte the original chain;
-  cache misses are detected with
-  :meth:`repro.mem.cache.Cache.access_if_hit`, which leaves a miss
-  completely untouched for the fallback to perform at its classic
-  time.  ``scripts/diff_gate.sh`` double-checks the bit-identity claim
-  over the golden matrix.  ``REPRO_SIM_FUSE=aggressive`` additionally
-  fuses on CU-local safety alone (no pending translation, no stepped
-  access in flight) even when foreign events lie inside the window —
-  still deterministic, but same-cycle ties may legally resolve
-  differently, so it is for fast exploration, not golden comparisons;
-  it auto-disables under demand paging and link-level contention,
-  where tie order is outcome-relevant by construction.
-
-The classic slot state machine keeps its in-flight state (``index``,
-``entry``) in ``__slots__`` attributes and hands the engine *pre-bound*
-methods created once per slot, so the steady state allocates no
-callables at all.  Set ``REPRO_SIM_FUSE=0`` to disable fusion and force
-the stepped path everywhere (results do not change; only event count
-and speed do).
+* **Pre-bound callbacks**: the slot keeps its in-flight state
+  (``index``, ``entry``) in ``__slots__`` attributes and hands the
+  engine bound methods created once per slot, so the steady state
+  allocates no callables at all.
 """
 
-import os
 from collections import deque
 
-from repro.mem.cache import LINE_SIZE, Cache
+from repro.mem.cache import Cache
 from repro.vm.tlb import TLB, TLBEntry
-
-
-def _env_positive(name, default, cast):
-    """A positive numeric environment override (falls back on junk)."""
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            value = cast(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return default
-
-
-#: Initial accesses consumed per fused event in single-slot run fusion.
-#: Correctness does not depend on this bound (every fused segment is
-#: independently stepped-equivalent, whatever its length); it only keeps
-#: single events short for profiler attribution and engine fairness.
-#: The cap adapts per CU: a run that exhausts it doubles it (up to
-#: ``_FUSE_CAP_MAX``), a failed provable-window check halves it (down to
-#: ``_FUSE_CAP_MIN``) — so CUs in long single-actor phases batch-drain
-#: whole windows while CUs in dense phases keep events short.
-_FUSE_RUN_CAP = 64
-
-#: Adaptive-cap bounds.  ``REPRO_SIM_FUSE_MAX`` overrides the ceiling
-#: (values never change simulated results, only event granularity).
-_FUSE_CAP_MIN = 16
-_FUSE_CAP_MAX = _env_positive("REPRO_SIM_FUSE_MAX", 1024, int)
-
-#: After a failed provable-window check, skip further checks on that CU
-#: for this many simulated cycles.  A failed check means the queue is
-#: dense around the CU's completion horizon, which is a persistent
-#: property of the simulation phase (hundreds of interleaved slots), so
-#: immediately re-checking is almost always futile; the retry interval
-#: bounds the guard cost in dense phases to one comparison per TLB hit
-#: while re-probing quickly once the machine drains.  Keyed to
-#: *simulated* time so the attempt pattern is a deterministic function
-#: of simulation history (identical under either queue discipline) and
-#: costs no state write on the skip path.  Host-side only: the value
-#: never changes simulated results, just how often fusion is attempted.
-#: ``REPRO_SIM_FUSE_RETRY`` overrides it (cycles, > 0).
-_FUSE_RETRY_INTERVAL = _env_positive("REPRO_SIM_FUSE_RETRY", 128.0, float)
-
-#: Cache-line shift for the vectorized same-line pre-check (see
-#: :meth:`ComputeUnit.add_cta`).  Two VAs on the same line share their
-#: page, hence their PPN, hence their PA line.
-_LINE_SHIFT = LINE_SIZE.bit_length() - 1
-
-_INF = float("inf")
 
 
 class _WavefrontSlot:
     """One wavefront slot: the per-access state machine of a CU.
 
     The slot advances through ``advance -> _issue -> _data_access ->
-    _complete`` for every element of its CTA trace — or through one
-    fused ``_issue`` event on the L1-TLB-hit + L1-cache-hit fast path —
-    then picks the next CTA from the CU's queue.  All engine callbacks
-    are the bound methods cached in ``__init__``; no per-access
-    closures.
+    _complete`` for every element of its CTA trace, then picks the next
+    CTA from the CU's queue.  All engine callbacks are the bound methods
+    cached in ``__init__``; no per-access closures.
     """
 
     __slots__ = (
@@ -132,14 +44,12 @@ class _WavefrontSlot:
         "engine",
         "vpns",
         "offs",
-        "sames",
         "length",
         "index",
         "entry",
         "_issue_cb",
         "_data_access_cb",
         "_complete_cb",
-        "_stepped_data_cb",
     )
 
     def __init__(self, cu):
@@ -147,14 +57,12 @@ class _WavefrontSlot:
         self.engine = cu.engine
         self.vpns = None
         self.offs = None
-        self.sames = None
         self.length = 0
         self.index = 0
         self.entry = None
         self._issue_cb = self._issue
         self._data_access_cb = self._data_access
         self._complete_cb = self._complete
-        self._stepped_data_cb = self._stepped_data
 
     # -- state machine -----------------------------------------------------
 
@@ -163,16 +71,14 @@ class _WavefrontSlot:
         if not cu.cta_queue:
             self.vpns = None
             self.offs = None
-            self.sames = None
             cu._active_slots -= 1
             cu.sim.note_slot_retired()
             return
-        vpns, offs, sames = cu.cta_queue.popleft()
+        vpns, offs = cu.cta_queue.popleft()
         # Plain Python ints: every later index is one list load instead
         # of a numpy scalar extraction + int() conversion.
         self.vpns = vpns.tolist()
         self.offs = offs.tolist()
-        self.sames = sames
         self.length = len(self.vpns)
         self.index = 0
         self.advance()
@@ -186,183 +92,13 @@ class _WavefrontSlot:
 
     def _issue(self):
         cu = self.cu
-        i = self.index
-        vpn = self.vpns[i]
+        vpn = self.vpns[self.index]
         entry = cu.l1_tlb.lookup(vpn)
-        engine = self.engine
-        t_after_l1 = engine.now + cu.l1_tlb_latency
+        t_after_l1 = self.engine.now + cu.l1_tlb_latency
         if entry is not None:
-            stats = cu.stats
-            stats.l1_tlb_hits += 1
-            # ``engine.now < cu._fuse_retry_at`` means a recent guard
-            # failure showed the queue is dense around this CU; skip
-            # the (futile) window check for a while.  Purely a
-            # host-side heuristic: it selects *which* accesses attempt
-            # fusion, never how a fused access behaves, so results are
-            # unaffected — and it is a deterministic function of
-            # simulated time, so the attempt pattern is reproducible.
-            if cu._fuse_enabled and engine.now >= cu._fuse_retry_at:
-                t3 = t_after_l1 + cu.l1_cache_latency
-                # Provable fusion window: the queue holds no foreign
-                # event before this access's classic completion time
-                # t3, so nothing can execute — hence nothing can push —
-                # between now and t3.  Eliminating our own intermediate
-                # events then shifts every later sequence number by the
-                # same constant, which preserves all (time, seq) tie
-                # orders machine-wide: the simulation is bit-identical
-                # by construction (see docs/performance.md for the full
-                # argument, including why an event exactly *at* t3 is
-                # harmless — it was pushed before our completion in
-                # both schedules).
-                #
-                # The horizon is the earliest queued event time, read
-                # once: the queue is frozen for the rest of this
-                # callback (nothing pops mid-callback and our own push
-                # comes after the fusion loop), so one query bounds the
-                # whole run — ``t <= horizon`` is exactly
-                # ``no_event_before(t)`` for every probe below.
-                horizon = cu._fusion_horizon()
-                provable = horizon is None or t3 <= horizon
-                if not (
-                    provable
-                    or (
-                        # Aggressive opt-in: fuse on CU-local safety
-                        # alone (no pending translation response, no
-                        # sibling stepped access in flight).  The L1
-                        # structures still see the exact per-access
-                        # operation sequence, but same-cycle tie order
-                        # elsewhere in the machine may legally shift.
-                        cu._fuse_aggressive
-                        and not cu._pending_translations
-                        and cu._stepped_inflight == 0
-                    )
-                ):
-                    cu._fuse_retry_at = engine.now + _FUSE_RETRY_INTERVAL
-                    # Dense window: next provable run, if any, should
-                    # start small again.
-                    if cu._fuse_cap > _FUSE_CAP_MIN:
-                        cu._fuse_cap >>= 1
-                elif cu.l1_cache.access_if_hit(
-                    (entry.ppn << cu.page_shift) | self.offs[i]
-                ):
-                    # ---- fused fast path ----
-                    # The access's data-access event is eliminated: its
-                    # cache lookup just happened here (hit, consumed),
-                    # and its completion is delegated to the classic
-                    # ``_complete`` event at t3 = (t1 + L) + C — the
-                    # exact float-association order of the stepped
-                    # chain, so every push ``_complete`` performs
-                    # happens at the same simulated moment as stepped.
-                    stats.l1_cache_hits += 1
-                    fused = 1
-                    cap = cu._fuse_cap
-                    if provable and i + 1 < self.length:
-                        # Run fusion: consume subsequent hit/hit
-                        # accesses arithmetically for as long as each
-                        # one's classic completion still precedes the
-                        # first foreign event (the one-shot horizon).
-                        # Probe non-mutatingly first; mutate — in the
-                        # classic per-structure operation order — only
-                        # when consuming.  The final consumed access's
-                        # completion is again delegated to
-                        # ``_complete`` at its classic time.
-                        horizon_f = _INF if horizon is None else horizon
-                        gap_plus_1 = cu.compute_gap + 1
-                        vpns = self.vpns
-                        offs = self.offs
-                        sames = self.sames
-                        length = self.length
-                        tlb = cu.l1_tlb
-                        cache = cu.l1_cache
-                        gap_f = cu._gap_f
-                        lat_l1 = cu.l1_tlb_latency
-                        lat_c = cu.l1_cache_latency
-                        shift = cu.page_shift
-                        bulk = 0
-                        while fused < cap:
-                            t1n = t3 + gap_f
-                            t3n = (t1n + lat_l1) + lat_c
-                            if t3n > horizon_f:
-                                break
-                            if sames[i + 1]:
-                                # Same VA line as the access just
-                                # consumed (vectorized pre-check in
-                                # add_cta): same page -> same PPN ->
-                                # same PA line, whose TLB entry and
-                                # cache line are both MRU from the
-                                # previous access — a guaranteed
-                                # hit/hit whose LRU touches are
-                                # no-ops.  Consume arithmetically;
-                                # the counter adds are batched below
-                                # (integer sums, order-free).
-                                i += 1
-                                bulk += 1
-                                fused += 1
-                                t3 = t3n
-                                if i + 1 >= length:
-                                    break
-                                continue
-                            nxt = tlb.probe(vpns[i + 1])
-                            if nxt is None or not cache.access_if_hit(
-                                (nxt.ppn << shift) | offs[i + 1]
-                            ):
-                                break
-                            # The previous access completes; this one
-                            # issues and hits both levels.
-                            stats.instructions += gap_plus_1
-                            stats.mem_accesses += 1
-                            i += 1
-                            tlb.lookup(vpns[i])
-                            stats.l1_tlb_hits += 1
-                            stats.l1_cache_hits += 1
-                            fused += 1
-                            t3 = t3n
-                            if i + 1 >= length:
-                                break
-                        if bulk:
-                            stats.instructions += bulk * gap_plus_1
-                            stats.mem_accesses += bulk
-                            stats.l1_tlb_hits += bulk
-                            stats.l1_cache_hits += bulk
-                            tlb.hits += bulk
-                            cache.hits += bulk
-                        self.index = i
-                        if fused >= cap and cap < _FUSE_CAP_MAX:
-                            # The window was still open at the cap:
-                            # let the next run batch-drain more.
-                            cu._fuse_cap = cap << 1
-                    self.entry = None
-                    cu._fused_accesses += fused
-                    if cu._fuse_hist is not None:
-                        cu._fuse_hist[fused] = (
-                            cu._fuse_hist.get(fused, 0) + 1
-                        )
-                    engine.at(t3, self._complete_cb)
-                    return
-                else:
-                    # Guard passed but the L1 cache missed: the CU is
-                    # in a sparse-but-cache-missing phase, where every
-                    # attempt pays the window check plus a futile cache
-                    # probe.  Throttle attempts the same way as on a
-                    # dense window.
-                    cu._fuse_retry_at = engine.now + _FUSE_RETRY_INTERVAL
-            # Stepped fallback: TLB hit but the access cannot be fused
-            # (dense window, cache miss, or — in aggressive mode — a
-            # pending translation response / sibling stepped access).
-            # Only the aggressive guard ever reads ``_stepped_inflight``
-            # (the provable guard would see the sibling's queued event
-            # instead), so the default mode skips the counting wrapper
-            # and schedules the classic data access directly.
+            cu.stats.l1_tlb_hits += 1
             self.entry = entry
-            if cu._fuse_aggressive:
-                # ``_stepped_inflight`` marks the window until
-                # ``_data_access`` performs the cache access at its
-                # classic time, so no sibling fuses across our pending
-                # mutation.
-                cu._stepped_inflight += 1
-                engine.at(t_after_l1, self._stepped_data_cb)
-            else:
-                engine.at(t_after_l1, self._data_access_cb)
+            self.engine.at(t_after_l1, self._data_access_cb)
             return
 
         cu.stats.l1_tlb_misses += 1
@@ -376,10 +112,6 @@ class _WavefrontSlot:
         cu._pending_translations[vpn] = [self]
         cu._probe_l1_miss(cu, vpn)
         cu.sim.translation.request(cu, vpn, t_after_l1, cu._translated_cb)
-
-    def _stepped_data(self):
-        self.cu._stepped_inflight -= 1
-        self._data_access()
 
     def _data_access(self):
         cu = self.cu
@@ -432,14 +164,6 @@ class ComputeUnit:
         "_gap_f",
         "_pending_translations",
         "_active_slots",
-        "_stepped_inflight",
-        "_fuse_enabled",
-        "_fuse_aggressive",
-        "_fuse_retry_at",
-        "_fuse_cap",
-        "_fusion_horizon",
-        "_fused_accesses",
-        "_fuse_hist",
         "_translated_cb",
         "_slots",
         "_probe_l1_miss",
@@ -473,43 +197,6 @@ class ComputeUnit:
         self._gap_f = 1.0
         self._pending_translations = {}
         self._active_slots = 0
-        self._stepped_inflight = 0
-        # The default fusion guard is *provable* (it requires the event
-        # queue to hold no foreign event before the fused completion
-        # time, so eliminating events cannot reorder any same-cycle
-        # tie), hence safe for every design.  REPRO_SIM_FUSE=0
-        # force-disables fusion everywhere.
-        fuse_mode = os.environ.get("REPRO_SIM_FUSE", "1").strip().lower()
-        self._fuse_enabled = fuse_mode != "0"
-        # Aggressive mode additionally fuses on CU-local safety alone,
-        # without the provable-window check.  Still deterministic, but
-        # eliminating an event shifts the sequence numbers that break
-        # ties among same-cycle events machine-wide, so counters may
-        # drift slightly from the stepped schedule (e.g. slice-port
-        # grant order).  It stays off where tie order is
-        # outcome-relevant by construction: demand paging (the first
-        # same-cycle toucher of a page claims its placement) and
-        # link-level contention (Timeline grants are reserved in call
-        # order).  Opt-in for fast design-space exploration; never for
-        # golden comparisons.
-        self._fuse_aggressive = (
-            fuse_mode == "aggressive"
-            and not simulator.launch.design.demand_paging
-            and not params.link_issue_interval
-        )
-        self._fuse_retry_at = 0.0
-        # Per-CU adaptive fusion cap (see module constants).
-        self._fuse_cap = _FUSE_RUN_CAP
-        # Pre-bound machine-wide horizon query (every queue discipline —
-        # heap, calendar, sharded — answers it exactly, so fusion
-        # decisions are engine-mode-independent).
-        self._fusion_horizon = simulator.engine.events.fusion_horizon
-        self._fused_accesses = 0
-        # Optional run-length histogram {run_length: count} of the fused
-        # fast path, populated only when REPRO_SIM_FUSE_HIST is set (the
-        # dict insert is off the hot path otherwise).  Consumed by
-        # benchmarks/bench_engine_hotpath.py --hist.
-        self._fuse_hist = {} if os.environ.get("REPRO_SIM_FUSE_HIST") else None
         self._translated_cb = self._translated
         self._slots = []
 
@@ -518,30 +205,16 @@ class ComputeUnit:
 
         The per-page decomposition is vectorized here — one shift and
         one mask over the whole trace — instead of per access in the
-        issue path.  ``sames[i]`` pre-answers "does access ``i`` touch
-        the same VA cache line as access ``i-1``?" for the whole trace
-        in two vectorized compares: same VA line implies same page,
-        same PPN and same PA line, so inside a provable fused run such
-        an access is a guaranteed L1-TLB + L1-cache hit whose LRU
-        touches are no-ops — the fast path consumes it without probing
-        either structure (see :meth:`_WavefrontSlot._issue`).
+        issue path.
         """
         if len(trace):
-            lines = trace >> _LINE_SHIFT
-            sames = [False]
-            if len(trace) > 1:
-                sames.extend((lines[1:] == lines[:-1]).tolist())
             self.cta_queue.append(
-                (trace >> self.page_shift, trace & self._offset_mask, sames)
+                (trace >> self.page_shift, trace & self._offset_mask)
             )
 
     def start(self):
         """Activate up to ``num_slots`` wavefront slots."""
         self._gap_f = float(self.compute_gap)
-        # Sharded engine: seed events pushed from here (outside any
-        # event context) belong to this CU's chiplet.  No-op on the
-        # single-stream disciplines.
-        self.engine.events.set_push_shard(self.chiplet)
         while self._active_slots < self.num_slots and self.cta_queue:
             self._active_slots += 1
             slot = _WavefrontSlot(self)

@@ -4,13 +4,10 @@
 class TranslationRequest:
     """One L1-TLB miss travelling through the L2 TLB / page-walk system.
 
-    Invariant the fused fast path relies on (see :mod:`repro.sim.cu`):
-    from the moment a request enters :meth:`TranslationSystem.request`
+    From the moment a request enters :meth:`TranslationSystem.request`
     until its ``callback`` runs, it is represented by at least one
     queued engine event (the interconnect arrival, a slice-port grant, a
-    walker step, the response hop, ...).  A CU therefore never needs to
-    track in-flight translations separately to prove a fusion window
-    safe — the machine-wide ``no_event_before`` check sees them.
+    walker step, the response hop, ...).
     """
 
     __slots__ = (

@@ -74,14 +74,7 @@ class TranslationSystem:
         return self.dynamic_hsl.coarse_home(va)
 
     def request(self, cu, vpn, t, callback):
-        """Route an L1 TLB miss from ``cu`` detected at time ``t``.
-
-        From here until ``callback`` fires, the request is continuously
-        represented by queued engine events (each step below schedules
-        the next), which is the invariant that lets the CU's fused fast
-        path prove its safety window with one queue query — see
-        :class:`repro.sim.request.TranslationRequest`.
-        """
+        """Route an L1 TLB miss from ``cu`` detected at time ``t``."""
         va = vpn * self._page_size
         origin = cu.chiplet
         req = TranslationRequest(vpn, va, origin, cu, t, callback)
@@ -111,10 +104,7 @@ class TranslationSystem:
             req, origin, target, t, arrive, interconnect.hop_count(origin, target)
         )
         slice_ = self.slices[target]
-        # ``at_on``: the delivery event belongs to the *target* chiplet
-        # (the sharded engine files it on that chiplet's shard via the
-        # cross-shard mailbox; single-stream engines ignore the hint).
-        self.engine.at_on(target, arrive, lambda: slice_.receive(req))
+        self.engine.at(arrive, lambda: slice_.receive(req))
 
     def forward(self, req, src, dst):
         """Move a request between slices (re-route or caching forward)."""
@@ -129,4 +119,4 @@ class TranslationSystem:
             interconnect.hop_count(src, dst),
         )
         slice_ = self.slices[dst]
-        self.engine.at_on(dst, arrive, lambda: slice_.receive(req))
+        self.engine.at(arrive, lambda: slice_.receive(req))

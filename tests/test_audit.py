@@ -17,6 +17,7 @@ import pytest
 
 from repro.arch.params import scaled_params
 from repro.core.config import design
+from repro.engine.event_queue import HeapEventQueue
 from repro.obs import AuditError, AuditProbe
 from repro.sim.simulator import simulate
 from repro.workloads.registry import WORKLOAD_NAMES, build_kernel
@@ -112,6 +113,35 @@ def test_seeded_missing_respond_is_caught():
     assert "request-conservation" in str(excinfo.value) or "violation" in str(
         excinfo.value
     )
+
+
+class _RegressingQueue(HeapEventQueue):
+    """Heap queue whose drain runs a window of events with the engine
+    clock set behind the time they were scheduled for — the seeded
+    dispatch-order bug the engine-clock check exists to catch."""
+
+    def drain(self, engine, until=None, max_events=None, record=None):
+        executed = 0
+        while len(self):
+            time, callback = self.pop()
+            engine.now = time - 1000.0 if 500 <= executed < 550 else time
+            callback()
+            executed += 1
+        return executed
+
+
+def test_seeded_engine_clock_regression_is_caught():
+    from repro.driver.kernel_launch import launch_kernel
+    from repro.sim.simulator import Simulator
+
+    kernel = build_kernel("GUPS", scale="smoke")
+    params = scaled_params("smoke")
+    audit = AuditProbe()
+    sim = Simulator(launch_kernel(kernel, params, design("mgvm")), params,
+                    probe=audit)
+    sim.engine.events = _RegressingQueue()
+    sim.run()
+    assert "engine-clock-regression" in _kinds(audit)
 
 
 # -- synthetic hook streams (unit level) -------------------------------------

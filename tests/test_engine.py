@@ -47,6 +47,28 @@ class TestEventQueue:
         popped = [q.pop()[0] for _ in range(len(times))]
         assert popped == sorted(popped)
 
+    @pytest.mark.parametrize(
+        "value, cls",
+        [
+            (None, CalendarEventQueue),
+            ("", CalendarEventQueue),
+            ("calendar", CalendarEventQueue),
+            ("heap", HeapEventQueue),
+            (" HEAP ", HeapEventQueue),
+        ],
+    )
+    def test_env_selects_discipline(self, monkeypatch, value, cls):
+        if value is None:
+            monkeypatch.delenv("REPRO_ENGINE_QUEUE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ENGINE_QUEUE", value)
+        assert type(EventQueue()) is cls
+
+    def test_unknown_env_queue_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_QUEUE", "hepa")
+        with pytest.raises(ValueError, match="hepa"):
+            EventQueue()
+
 
 class TestEngine:
     def test_clock_starts_at_zero(self):
@@ -194,8 +216,7 @@ _any_time = st.one_of(_near_times, _fractional_times, _far_times)
 class TestQueueDisciplineEquivalence:
     """The calendar queue must be observationally identical to the heap:
     same pop order — exact ``(time, seq)`` ascending, FIFO among ties —
-    same stopping-rule behaviour, and the same ``no_event_before``
-    answers.  The heap is the oracle (satellite of ISSUE 5)."""
+    and the same stopping-rule behaviour.  The heap is the oracle."""
 
     @given(st.lists(_any_time, min_size=1, max_size=120))
     def test_static_schedule_pops_identically(self, times):
@@ -292,34 +313,6 @@ class TestQueueDisciplineEquivalence:
             return first, marker, rest, log
 
         assert run(HeapEventQueue()) == run(CalendarEventQueue())
-
-    @given(
-        st.lists(_any_time, min_size=0, max_size=60),
-        st.integers(0, 60),
-        st.lists(
-            st.one_of(
-                _any_time, st.floats(0, 45_000, allow_nan=False)
-            ),
-            min_size=1,
-            max_size=10,
-        ),
-    )
-    def test_no_event_before_is_exact_on_both(self, times, pops, probes):
-        """``no_event_before`` — the query behind the fused fast path's
-        provable-safety window — must be exact and discipline-agnostic,
-        including after pops have advanced the calendar's wheel."""
-        heap_q, cal_q = HeapEventQueue(), CalendarEventQueue()
-        for i, t in enumerate(times):
-            heap_q.push(t, i)
-            cal_q.push(t, i)
-        pops = min(pops, len(times))
-        for _ in range(pops):
-            assert heap_q.pop() == cal_q.pop()
-        remaining = sorted(times)[pops:]
-        for probe in probes:
-            oracle = not remaining or remaining[0] >= probe
-            assert heap_q.no_event_before(probe) is oracle
-            assert cal_q.no_event_before(probe) is oracle
 
     @given(st.lists(_any_time, min_size=1, max_size=60))
     def test_len_and_peek_agree(self, times):

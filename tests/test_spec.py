@@ -48,7 +48,7 @@ def rich_spec():
         workload="GUPS",
         design="mgvm",
         geometry=GeometrySpec(chiplets=8, topology="ring", link_latency=64.0),
-        engine=EngineSpec(queue="heap", fuse="0"),
+        engine=EngineSpec(queue="heap"),
         probes=ProbeSpec(audit=True),
         scale="smoke",
         seed=3,
@@ -124,6 +124,63 @@ class TestRoundTrips:
         assert parsed.alignment_key() == spec.alignment_key()
 
 
+class TestStrictKeys:
+    """Unknown or mistyped keys fail loudly at every ``from_dict`` level
+    instead of silently running the default they meant to override."""
+
+    def test_engine_queue_is_validated(self):
+        for queue in (None, "calendar", "heap"):
+            assert EngineSpec(queue=queue).queue == queue
+        with pytest.raises(ValueError, match="'hepa'"):
+            EngineSpec(queue="hepa")
+
+    @pytest.mark.parametrize(
+        "cls, data, key, allowed",
+        [
+            (EngineSpec, {"shards": "auto"}, "shards", "queue"),
+            (EngineSpec, {"queue": "heap", "fuse": "0"}, "fuse", "queue"),
+            (GeometrySpec, {"chiplet": 4}, "chiplet", "chiplets"),
+            (ProbeSpec, {"audits": True}, "audits", "audit"),
+            (
+                ExperimentSpec,
+                {"workload": "GUPS", "design": "mgvm", "sead": 3},
+                "sead", "seed",
+            ),
+            (SweepSpec, {"designs": ["mgvm"], "scales": "smoke"},
+             "scales", "scale"),
+        ],
+    )
+    def test_unknown_key_names_key_and_allowed(self, cls, data, key, allowed):
+        with pytest.raises(ValueError) as excinfo:
+            cls.from_dict(data)
+        message = str(excinfo.value)
+        assert repr(key) in message
+        assert "allowed: " in message and allowed in message
+
+    def test_nested_unknown_key_through_spec(self):
+        with pytest.raises(ValueError, match="unknown engine key 'shards'"):
+            ExperimentSpec.from_dict(
+                {"workload": "GUPS", "design": "mgvm",
+                 "engine": {"shards": "auto"}}
+            )
+
+    def test_load_spec_rejects_unknown_key(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"workload": "GUPS", "design": "mgvm",
+                                    "sead": 3}))
+        with pytest.raises(ValueError, match="spec.json.*'sead'"):
+            load_spec(str(path))
+
+    @pytest.mark.skipif(not HAS_TOMLLIB, reason="tomllib needs Python 3.11+")
+    def test_toml_retired_engine_knob_rejected(self, tmp_path):
+        path = tmp_path / "spec.toml"
+        path.write_text(
+            'workload = "GUPS"\ndesign = "mgvm"\n\n[engine]\nfuse = "0"\n'
+        )
+        with pytest.raises(ValueError, match="unknown engine key 'fuse'"):
+            load_spec(str(path))
+
+
 class TestCacheKey:
     def test_matches_legacy_format(self):
         spec = ExperimentSpec(workload="GUPS", design="private")
@@ -197,6 +254,7 @@ class TestRegistry:
         for name in preset_names():
             resolved = resolve_preset(name)
             assert resolved.to_dict()  # serializable
+            assert spec_from_dict(resolved.to_dict()) == resolved
             if isinstance(resolved, SweepSpec):
                 assert resolved.points()
 
@@ -206,11 +264,11 @@ class TestRegistry:
         assert tuple(smoke.designs) == DESIGN_GROUPS["main"]
 
     def test_engine_modes_env_shape(self):
-        for engine in ENGINE_MODES.values():
-            env = engine.env()
-            assert set(env) == {
-                "REPRO_ENGINE_QUEUE", "REPRO_ENGINE_SHARDS", "REPRO_SIM_FUSE",
-            }
+        assert set(ENGINE_MODES) == {"default", "heap-oracle"}
+        assert ENGINE_MODES["default"].env() == {"REPRO_ENGINE_QUEUE": None}
+        assert ENGINE_MODES["heap-oracle"].env() == {
+            "REPRO_ENGINE_QUEUE": "heap"
+        }
 
     def test_as_sweep_promotes_point(self):
         sweep = as_sweep(rich_spec())
