@@ -4,9 +4,10 @@ Targets tracked across PRs (see ``docs/performance.md`` and
 ``results/BENCH_engine.json``):
 
 * ``test_engine_event_throughput`` — raw dispatch rate through
-  :meth:`Engine.run`: a self-rescheduling callback chain seeded with a
-  burst of same-timestamp events, mirroring the push/pop mix of a real
-  simulation (every event schedules about one successor).
+  :meth:`Engine.run`: a self-rescheduling ``fn(arg)`` chain seeded with
+  a burst of same-timestamp events, mirroring the push/pop mix and the
+  event form of a real simulation (every event schedules about one
+  successor, passing its state as the argument).
 * ``test_smoke_end_to_end_sim`` — one complete ``smoke``-scale
   simulation (GUPS under MGvm), the unit of work the parallel experiment
   fabric fans out.
@@ -70,20 +71,20 @@ CHECK_MARGIN_CROSS_HOST = 0.70
 def drive_engine(num_events=EVENTS, fanout=FANOUT):
     """Execute ``num_events`` events through a fresh engine."""
     engine = Engine()
-    remaining = [num_events]
 
-    def tick():
+    def tick(remaining):
         remaining[0] -= 1
         if remaining[0] > 0:
-            engine.after(1.0, tick)
+            engine.after(1.0, tick, remaining)
 
+    remaining = [num_events]
     for _ in range(fanout):
-        engine.at(0.0, tick)
+        engine.at(0.0, tick, remaining)
     engine.run()
     return engine.events_executed
 
 
-def _noop():
+def _noop(_arg):
     return None
 
 
@@ -113,12 +114,12 @@ def drive_queue(queue, ops=QUEUE_OPS, depth=256, increments=None):
     if increments is None:
         increments = _hold_increments(ops)
     for i in range(depth):
-        queue.push(1.0 + (i % 64), _noop)
+        queue.push(1.0 + (i % 64), _noop, i)
     pop = queue.pop
     push = queue.push
     for inc in increments:
-        t, cb = pop()
-        push(t + inc, cb)
+        t, fn, arg = pop()
+        push(t + inc, fn, arg)
     return ops
 
 

@@ -218,7 +218,9 @@ class BalanceController:
             # three link crossings end-to-end on the flat all-to-all.
             # The gather delay covers the alert, the poll fan-out and
             # the replies.
-            self.engine.after(self._gather_delay(chiplet), self._cp_evaluate)
+            self.engine.after(
+                self._gather_delay(chiplet), BalanceController._cp_evaluate, self
+            )
 
     def _cp_evaluate(self):
         """Listing 2: the CP decides whether to switch to fine grain."""
@@ -259,14 +261,13 @@ class BalanceController:
             # they apply it asynchronously, so far chiplets on a routed
             # topology run with a stale HSL copy for longer.
             self.engine.after(
-                self._cp_delay(component[0]), self._make_apply(component, mode)
+                self._cp_delay(component[0]), self._apply, (component, mode)
             )
 
-    def _make_apply(self, component, mode):
-        def apply():
-            self.hsl.apply(component, mode)
-
-        return apply
+    def _apply(self, message):
+        """A component receives the ``(component, mode)`` switch message."""
+        component, mode = message
+        self.hsl.apply(component, mode)
 
     # -- switch-back ------------------------------------------------------------
 

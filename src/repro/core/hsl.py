@@ -175,17 +175,13 @@ class DynamicHSL:
         self.switches_to_fine = 0
         self.switches_to_coarse = 0
 
-    def _granularity_for(self, component):
-        if component is None:
-            return (
-                self.coarse_granularity
-                if self.commanded == "coarse"
-                else self.fine_granularity
-            )
-        return self._views[component]
-
     def home(self, va, requester=None, component=None):
-        granularity = self._granularity_for(component)
+        if component is not None:
+            granularity = self._views[component]
+        elif self.commanded == "coarse":
+            granularity = self.coarse_granularity
+        else:
+            granularity = self.fine_granularity
         return (va // granularity) % self.num_chiplets
 
     def coarse_home(self, va):

@@ -1,8 +1,14 @@
 """Event queue and simulation clock.
 
-Events are callbacks scheduled at absolute times.  Ties are broken by a
-monotonically increasing sequence number so that events scheduled earlier
-run earlier, which keeps the simulation deterministic.
+An event is a function and its one argument, ``fn(arg)``, scheduled at an
+absolute time.  The queues store ``(time, seq, fn, arg)`` entries and
+dispatch each as ``fn(arg)``; there is no other event form.  A component
+schedules a plain function with the record it works on
+(``(_WavefrontSlot._issue, slot)``) or a bound method with the request it
+handles (``(slice.receive, req)``), so no event allocates a closure.
+Ties are broken by a monotonically increasing sequence number so that
+events scheduled earlier run earlier, which keeps the simulation
+deterministic.
 
 Two queue disciplines implement the same contract (``push`` / ``pop`` /
 ``peek_time`` / ``__len__`` / ``drain``):
@@ -52,7 +58,7 @@ _WHEEL_MASK = _WHEEL_SIZE - 1
 
 
 class HeapEventQueue:
-    """A binary-heap priority queue of (time, seq, callback) events.
+    """A binary-heap priority queue of (time, seq, fn, arg) events.
 
     The pre-calendar discipline; selected with ``REPRO_ENGINE_QUEUE=heap``
     and used as the ordering oracle in the equivalence property tests.
@@ -67,15 +73,15 @@ class HeapEventQueue:
     def __len__(self):
         return len(self._heap)
 
-    def push(self, time, callback):
-        """Schedule ``callback`` to run at absolute ``time``."""
-        _heappush(self._heap, (time, self._seq, callback))
+    def push(self, time, fn, arg):
+        """Schedule ``fn(arg)`` to run at absolute ``time``."""
+        _heappush(self._heap, (time, self._seq, fn, arg))
         self._seq += 1
 
     def pop(self):
-        """Remove and return the earliest ``(time, callback)`` pair."""
-        time, _seq, callback = _heappop(self._heap)
-        return time, callback
+        """Remove and return the earliest event as ``(time, fn, arg)``."""
+        time, _seq, fn, arg = _heappop(self._heap)
+        return time, fn, arg
 
     def peek_time(self):
         """Return the time of the earliest event, or ``None`` if empty."""
@@ -87,9 +93,9 @@ class HeapEventQueue:
         """Dispatch events in order; see :meth:`Engine.run` for semantics.
 
         Returns the number of events executed.  When ``record`` is given,
-        every callback is timed and reported via ``record(callback,
-        seconds)`` (the :meth:`repro.obs.profile.HostProfiler.record`
-        contract); simulated event order and times are unchanged.
+        every event is timed and reported via ``record(fn, seconds)``
+        (the :meth:`repro.obs.profile.HostProfiler.record` contract);
+        simulated event order and times are unchanged.
         """
         heap = self._heap
         pop = _heappop
@@ -98,12 +104,12 @@ class HeapEventQueue:
         if until is None and max_events is None and record is None:
             # Fast path (the common full-run case): straight-line
             # pop-and-dispatch with no per-event peeking or bound-method
-            # lookups.  Callbacks may push new events; they land in the
+            # lookups.  Events may push new events; they land in the
             # same ``heap`` list, so the loop naturally picks them up.
             while heap:
                 item = pop(heap)
                 engine.now = item[0]
-                item[2]()
+                item[2](item[3])
                 executed += 1
             return executed
 
@@ -124,19 +130,19 @@ class HeapEventQueue:
                 if max_events is not None and executed >= max_events:
                     break
                 item = pop(heap)
-                callback = item[2]
+                fn = item[2]
                 if record is None:
-                    callback()
+                    fn(item[3])
                 else:
                     start = perf()
-                    callback()
-                    record(callback, perf() - start)
+                    fn(item[3])
+                    record(fn, perf() - start)
                 executed += 1
         return executed
 
 
 class CalendarEventQueue:
-    """A two-level bucketed calendar queue of (time, seq, callback) events.
+    """A two-level bucketed calendar queue of (time, seq, fn, arg) events.
 
     Structure:
 
@@ -200,8 +206,8 @@ class CalendarEventQueue:
             + len(self._overflow)
         )
 
-    def push(self, time, callback):
-        """Schedule ``callback`` to run at absolute ``time``."""
+    def push(self, time, fn, arg):
+        """Schedule ``fn(arg)`` to run at absolute ``time``."""
         seq = self._seq
         self._seq = seq + 1
         tick = int(time)
@@ -220,16 +226,16 @@ class CalendarEventQueue:
             # next pop.
             run = self._run
             if not run or time >= run[0][0]:
-                run.appendleft((time, seq, callback))
+                run.appendleft((time, seq, fn, arg))
             elif time < run[-1][0]:
-                run.append((time, seq, callback))
+                run.append((time, seq, fn, arg))
             else:
-                self._staged.append((time, seq, callback))
+                self._staged.append((time, seq, fn, arg))
         elif tick - base < _WHEEL_SIZE:
-            self._buckets[tick & _WHEEL_MASK].append((time, seq, callback))
+            self._buckets[tick & _WHEEL_MASK].append((time, seq, fn, arg))
             self._wheel_count += 1
         else:
-            _heappush(self._overflow, (time, seq, callback))
+            _heappush(self._overflow, (time, seq, fn, arg))
 
     def _advance(self):
         """Advance the wheel until ``_run`` is non-empty.
@@ -292,11 +298,11 @@ class CalendarEventQueue:
         return self._advance()
 
     def pop(self):
-        """Remove and return the earliest ``(time, callback)`` pair."""
+        """Remove and return the earliest event as ``(time, fn, arg)``."""
         if not self._settle():
             raise IndexError("pop from an empty event queue")
-        time, _seq, callback = self._run.pop()
-        return time, callback
+        time, _seq, fn, arg = self._run.pop()
+        return time, fn, arg
 
     def peek_time(self):
         """Return the time of the earliest event, or ``None`` if empty."""
@@ -325,7 +331,7 @@ class CalendarEventQueue:
             # so the method call and per-call attribute reads are
             # measurable).  ``_base_tick``/``_wheel_count`` must be
             # re-read on entry and written back before dispatch resumes:
-            # ``push`` reads them from the callbacks we dispatch.
+            # ``push`` reads them from the events we dispatch.
             buckets = self._buckets
             overflow = self._overflow
             pop = run.pop
@@ -335,7 +341,7 @@ class CalendarEventQueue:
                 if run:
                     item = pop()
                     engine.now = item[0]
-                    item[2]()
+                    item[2](item[3])
                     executed += 1
                     continue
                 # Inline _advance (kept in lock-step with the method).
@@ -382,13 +388,13 @@ class CalendarEventQueue:
                 break
             item = run.pop()
             engine.now = next_time
-            callback = item[2]
+            fn = item[2]
             if record is None:
-                callback()
+                fn(item[3])
             else:
                 start = perf()
-                callback()
-                record(callback, perf() - start)
+                fn(item[3])
+                record(fn, perf() - start)
             executed += 1
         return executed
 
@@ -420,8 +426,11 @@ class Engine:
     """Owns the clock and drives the event queue to completion.
 
     Components schedule work with :meth:`at` (absolute time) or
-    :meth:`after` (relative delay).  :meth:`run` executes events in time
-    order until the queue drains or an optional horizon is reached.
+    :meth:`after` (relative delay).  Both take the event as a function
+    and its one argument, ``fn(arg)``: pass the state the event needs as
+    ``arg`` (a request, a walk record, a slot) instead of capturing it in
+    a closure.  :meth:`run` executes events in time order until the
+    queue drains or an optional horizon is reached.
     """
 
     __slots__ = ("now", "events", "events_executed")
@@ -431,19 +440,19 @@ class Engine:
         self.events = EventQueue()
         self.events_executed = 0
 
-    def at(self, time, callback):
-        """Schedule ``callback`` at absolute ``time`` (>= now)."""
+    def at(self, time, fn, arg):
+        """Schedule ``fn(arg)`` at absolute ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(
                 "cannot schedule event in the past: %r < now %r" % (time, self.now)
             )
-        self.events.push(time, callback)
+        self.events.push(time, fn, arg)
 
-    def after(self, delay, callback):
-        """Schedule ``callback`` after ``delay`` cycles from now."""
+    def after(self, delay, fn, arg):
+        """Schedule ``fn(arg)`` after ``delay`` cycles from now."""
         if delay < 0:
             raise ValueError("negative delay: %r" % (delay,))
-        self.events.push(self.now + delay, callback)
+        self.events.push(self.now + delay, fn, arg)
 
     def run(self, until=None, max_events=None):
         """Run events in order.
@@ -457,10 +466,10 @@ class Engine:
         return executed
 
     def run_profiled(self, record, until=None, max_events=None):
-        """Like :meth:`run`, but time every callback through ``record``.
+        """Like :meth:`run`, but time every event through ``record``.
 
-        ``record(callback, seconds)`` is invoked after each dispatched
-        event with the callback object and its host wall-clock cost (the
+        ``record(fn, seconds)`` is invoked after each dispatched event
+        with the event's function and its host wall-clock cost (the
         contract :meth:`repro.obs.profile.HostProfiler.record` fulfils).
         Dispatch goes through the same queue ``drain`` implementation as
         :meth:`run` — one shared horizon/budget loop — so profiled and

@@ -50,10 +50,9 @@ class Timeline:
 class TokenPool:
     """A pool of ``capacity`` tokens with FIFO waiters.
 
-    ``acquire(callback)`` grants a token immediately (the callback is
-    scheduled at the current time) or enqueues the callback until a token
-    is released.  Callbacks receive no arguments; the grant time is the
-    engine's ``now`` when they run.
+    ``acquire(fn, arg)`` grants a token immediately (``fn(arg)`` is
+    scheduled at the current time) or enqueues the pair until a token is
+    released.  The grant time is the engine's ``now`` when ``fn`` runs.
     """
 
     __slots__ = ("engine", "capacity", "free", "name", "_waiters", "total_grants")
@@ -76,14 +75,14 @@ class TokenPool:
     def queue_length(self):
         return len(self._waiters)
 
-    def acquire(self, callback):
-        """Request a token; ``callback()`` runs when it is granted."""
+    def acquire(self, fn, arg):
+        """Request a token; ``fn(arg)`` runs when it is granted."""
         if self.free > 0:
             self.free -= 1
             self.total_grants += 1
-            self.engine.after(0.0, callback)
+            self.engine.after(0.0, fn, arg)
         else:
-            self._waiters.append(callback)
+            self._waiters.append((fn, arg))
 
     def try_acquire(self):
         """Take a token without waiting; return True on success."""
@@ -96,9 +95,9 @@ class TokenPool:
     def release(self):
         """Return a token, handing it to the oldest waiter if any."""
         if self._waiters:
-            callback = self._waiters.popleft()
+            fn, arg = self._waiters.popleft()
             self.total_grants += 1
-            self.engine.after(0.0, callback)
+            self.engine.after(0.0, fn, arg)
         else:
             if self.free >= self.capacity:
                 raise RuntimeError(

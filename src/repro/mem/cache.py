@@ -44,16 +44,10 @@ class Cache:
         self.misses = 0
         self.evictions = 0
 
-    def line_of(self, addr):
-        return addr // self.line_size
-
-    def _set_for(self, line):
-        return self._sets[line % self.num_sets]
-
     def access(self, addr):
         """Look up ``addr``; fill on miss.  Returns True on hit."""
-        line = self.line_of(addr)
-        entries = self._set_for(line)
+        line = addr // self.line_size
+        entries = self._sets[line % self.num_sets]
         if line in entries:
             entries.move_to_end(line)
             self.hits += 1
@@ -67,8 +61,8 @@ class Cache:
 
     def probe(self, addr):
         """Presence check with no side effects."""
-        line = self.line_of(addr)
-        return line in self._set_for(line)
+        line = addr // self.line_size
+        return line in self._sets[line % self.num_sets]
 
     def flush(self):
         for entries in self._sets:

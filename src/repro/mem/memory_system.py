@@ -35,12 +35,6 @@ class MemoryAccessStats:
         self.local_cycles = {"data": 0.0, "pte": 0.0}
         self.remote_cycles = {"data": 0.0, "pte": 0.0}
 
-    def record(self, kind, remote, cycles):
-        bucket = self.remote if remote else self.local
-        cycles_bucket = self.remote_cycles if remote else self.local_cycles
-        bucket[kind] += 1
-        cycles_bucket[kind] += cycles
-
     def total(self, kind):
         return self.local[kind] + self.remote[kind]
 
@@ -91,7 +85,7 @@ class MemorySystem:
         remote = requester != home
         interconnect = self.interconnect
         if remote and interconnect is not None:
-            arrive = interconnect.traverse(requester, home, at, kind=kind)
+            arrive = interconnect.traverse(requester, home, at, kind)
         else:
             arrive = at + (self.link_latency if remote else 0.0)
         banks = self.l2_banks[home]
@@ -104,10 +98,16 @@ class MemorySystem:
             done = self.drams[home].access_done_at(pa, start + self.l2_latency)
         if remote:
             if interconnect is not None:
-                done = interconnect.traverse(home, requester, done, kind=kind)
+                done = interconnect.traverse(home, requester, done, kind)
             else:
                 done += self.link_latency
-        self.stats.record(kind, remote, done - at)
+        stats = self.stats
+        if remote:
+            stats.remote[kind] += 1
+            stats.remote_cycles[kind] += done - at
+        else:
+            stats.local[kind] += 1
+            stats.local_cycles[kind] += done - at
         return done, remote
 
     def latency_preview(self, requester, home, cached):

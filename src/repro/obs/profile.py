@@ -3,16 +3,18 @@
 The tracer and metrics recorder observe simulated time;
 :class:`HostProfiler` observes host time.  It plugs into
 :meth:`repro.engine.event_queue.Engine.run_profiled`, which times every
-dispatched callback and reports ``(callback, seconds)`` pairs.  The
-profiler aggregates them per **event kind** (the callback's qualified
-name — ``_WavefrontSlot._issue``, ``WalkerPool._fetch_level``, a
-slice's ``_lookup_done`` lambda, ...) grouped under a friendly
-**component** derived from the defining module (``compute-unit``,
-``l2-slice``, ``walker``, ``memory``, ...).
+dispatched ``fn(arg)`` event and reports ``(fn, seconds)`` pairs.  The
+profiler aggregates them per **event kind** (the function's qualified
+name — ``_WavefrontSlot._issue``, ``WalkerPool._fetch_level``,
+``L2TLBSlice._lookup_done``, ``ComputeUnit._translated``, ...) grouped
+under a friendly **component** derived from the defining module
+(``compute-unit``, ``l2-slice``, ``walker``, ``memory``, ...).  Because
+the simulator schedules named functions, never closures, each event is
+billed to the method that does the work.
 
-Attribution is keyed by the callback's *code object*, so the hot path is
-one dict lookup + two float adds per event regardless of how many bound
-methods or lambdas the simulator allocates.
+Attribution is keyed by the function's *code object*, so the hot path is
+one dict lookup + two float adds per event, and every bound method of
+every instance of a class shares one bucket.
 
 Exports:
 
@@ -71,8 +73,7 @@ class HostProfiler:
 
     def __init__(self):
         # code object -> [seconds, calls]; identity of the *code* makes
-        # every bound method of every slot instance (and every freshly
-        # allocated lambda of the same call site) share one bucket.
+        # every bound method of every instance share one bucket.
         self._acc = {}
         # code object -> (module, qualname), resolved lazily at first
         # sight so the record() hot path never touches __module__.
@@ -82,17 +83,17 @@ class HostProfiler:
 
     # -- hot path -----------------------------------------------------------
 
-    def record(self, callback, seconds):
+    def record(self, fn, seconds):
         """Account one dispatched event (called by ``run_profiled``)."""
-        func = getattr(callback, "__func__", callback)
+        func = getattr(fn, "__func__", fn)
         code = getattr(func, "__code__", None)
-        key = code if code is not None else callback
+        key = code if code is not None else fn
         entry = self._acc.get(key)
         if entry is None:
             self._acc[key] = entry = [0.0, 0]
             self._names[key] = (
                 getattr(func, "__module__", None),
-                getattr(func, "__qualname__", repr(callback)),
+                getattr(func, "__qualname__", repr(fn)),
             )
         entry[0] += seconds
         entry[1] += 1

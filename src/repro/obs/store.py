@@ -155,6 +155,28 @@ def config_hash(scale, workload, design, overrides, mult, seed):
     ).config_hash()
 
 
+def _enable_wal(conn, timeout):
+    """Switch ``conn`` to WAL, retrying while another opener holds the lock.
+
+    Two processes opening one *fresh* store race in ``PRAGMA journal_mode
+    = WAL``: the loser gets ``database is locked`` at once, without the
+    busy timeout applying.  Only that statement is retried, with backoff
+    from 1 ms doubling to at most 50 ms, until ``timeout`` seconds have
+    passed; any other error, or the lock outlasting ``timeout``, raises.
+    """
+    deadline = time.monotonic() + timeout
+    delay = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(delay)
+        delay = min(2 * delay, 0.05)
+
+
 class RunStore:
     """One sqlite telemetry store (see module docstring)."""
 
@@ -171,7 +193,7 @@ class RunStore:
         self._conn.isolation_level = None
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA busy_timeout = %d" % int(timeout * 1000))
-        self._conn.execute("PRAGMA journal_mode = WAL")
+        _enable_wal(self._conn, timeout)
         self._conn.execute("PRAGMA synchronous = NORMAL")
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._ensure_schema()

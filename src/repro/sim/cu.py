@@ -18,16 +18,18 @@ in the simulator:
   lists, so the per-access path indexes a list instead of calling
   ``int(trace[i])`` plus two geometry methods.
 
-* **Pre-bound callbacks**: the slot keeps its in-flight state
-  (``index``, ``entry``) in ``__slots__`` attributes and hands the
-  engine bound methods created once per slot, so the steady state
-  allocates no callables at all.
+* **Closure-free events**: the slot keeps its in-flight state
+  (``index``, ``entry``) in ``__slots__`` attributes and schedules its
+  steps as ``(_WavefrontSlot._issue, slot)`` — the plain class function
+  with the slot as the event argument — so the steady state allocates
+  no callables at all.  A translation response arrives as
+  ``(cu._translated, req)`` with the entry on the request.
 """
 
 from collections import deque
 
 from repro.mem.cache import Cache
-from repro.vm.tlb import TLB, TLBEntry
+from repro.vm.tlb import TLB
 
 
 class _WavefrontSlot:
@@ -35,8 +37,8 @@ class _WavefrontSlot:
 
     The slot advances through ``advance -> _issue -> _data_access ->
     _complete`` for every element of its CTA trace, then picks the next
-    CTA from the CU's queue.  All engine callbacks are the bound methods
-    cached in ``__init__``; no per-access closures.
+    CTA from the CU's queue.  Every engine event is a class function
+    with the slot as its argument; no per-access closures.
     """
 
     __slots__ = (
@@ -47,9 +49,6 @@ class _WavefrontSlot:
         "length",
         "index",
         "entry",
-        "_issue_cb",
-        "_data_access_cb",
-        "_complete_cb",
     )
 
     def __init__(self, cu):
@@ -60,9 +59,6 @@ class _WavefrontSlot:
         self.length = 0
         self.index = 0
         self.entry = None
-        self._issue_cb = self._issue
-        self._data_access_cb = self._data_access
-        self._complete_cb = self._complete
 
     # -- state machine -----------------------------------------------------
 
@@ -88,7 +84,7 @@ class _WavefrontSlot:
             self.pick_cta()
             return
         # compute_gap instructions of compute, then the memory access.
-        self.engine.after(self.cu._gap_f, self._issue_cb)
+        self.engine.after(self.cu._gap_f, _WavefrontSlot._issue, self)
 
     def _issue(self):
         cu = self.cu
@@ -98,7 +94,7 @@ class _WavefrontSlot:
         if entry is not None:
             cu.stats.l1_tlb_hits += 1
             self.entry = entry
-            self.engine.at(t_after_l1, self._data_access_cb)
+            self.engine.at(t_after_l1, _WavefrontSlot._data_access, self)
             return
 
         cu.stats.l1_tlb_misses += 1
@@ -119,20 +115,22 @@ class _WavefrontSlot:
         pa = (entry.ppn << cu.page_shift) | self.offs[self.index]
         if cu.l1_cache.access(pa):
             cu.stats.l1_cache_hits += 1
-            self.engine.after(cu.l1_cache_latency, self._complete_cb)
+            self.engine.after(
+                cu.l1_cache_latency, _WavefrontSlot._complete, self
+            )
             return
         done, remote = cu.sim.memory_system.access(
             cu.chiplet,
             entry.data_home,
             pa,
             self.engine.now + cu.l1_cache_latency,
-            kind="data",
+            "data",
         )
         if remote:
             cu.stats.data_accesses_remote += 1
         else:
             cu.stats.data_accesses_local += 1
-        self.engine.at(done, self._complete_cb)
+        self.engine.at(done, _WavefrontSlot._complete, self)
 
     def _complete(self):
         cu = self.cu
@@ -221,11 +219,13 @@ class ComputeUnit:
             self._slots.append(slot)
             slot.pick_cta()
 
-    def _translated(self, vpn, entry):
-        """Translation response arrives back at this CU."""
-        self.l1_tlb.insert(
-            TLBEntry(entry.vpn, entry.ppn, entry.data_home, entry.coarse_home)
-        )
-        for slot in self._pending_translations.pop(vpn):
+    def _translated(self, req):
+        """Translation response ``req`` arrives back at this CU.
+
+        The L1 fill shares the slice's entry (entries are immutable).
+        """
+        entry = req.entry
+        self.l1_tlb.insert(entry)
+        for slot in self._pending_translations.pop(req.vpn):
             slot.entry = entry
             slot._data_access()

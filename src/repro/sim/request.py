@@ -7,7 +7,9 @@ class TranslationRequest:
     From the moment a request enters :meth:`TranslationSystem.request`
     until its ``callback`` runs, it is represented by at least one
     queued engine event (the interconnect arrival, a slice-port grant, a
-    walker step, the response hop, ...).
+    walker step, the response hop, ...).  Each of those events is
+    ``(fn, req)``: the request itself carries the state the next step
+    needs, down to the ``entry`` the responding slice found.
     """
 
     __slots__ = (
@@ -17,6 +19,7 @@ class TranslationRequest:
         "cu",
         "t0",
         "callback",
+        "entry",
         "hops",
         "forward_home",
         "cache_locally",
@@ -31,7 +34,8 @@ class TranslationRequest:
         self.origin = origin  # requesting chiplet
         self.cu = cu
         self.t0 = t0  # time the L1 miss was detected
-        self.callback = callback  # callback(vpn, entry) at response time
+        self.callback = callback  # callback(req) at response time
+        self.entry = None  # the TLBEntry the responding slice found
         self.hops = 0  # re-routing hops during HSL switches
         # Remote-TLB-caching mode (Figure 16): the true home slice to
         # forward to after a local-slice miss, and whether the response
@@ -62,10 +66,17 @@ class TranslationRequest:
 
 
 class WalkRecord:
-    """Timing and locality of one page walk."""
+    """Timing and locality of one page walk.
+
+    The record is also the walk's event argument: ``level`` is the
+    page-table level the next fetch reads, and ``on_done(record)`` runs
+    when the walk completes.
+    """
 
     __slots__ = (
         "vpn",
+        "on_done",
+        "level",
         "t_request",
         "t_start",
         "t_done",
@@ -77,8 +88,10 @@ class WalkRecord:
         "hops",
     )
 
-    def __init__(self, vpn, t_request):
+    def __init__(self, vpn, t_request, on_done):
         self.vpn = vpn
+        self.on_done = on_done
+        self.level = None  # level of the next fetch
         self.t_request = t_request  # L2 miss detected / walk queued
         self.t_start = None  # walker granted
         self.t_done = None  # translation available

@@ -66,9 +66,7 @@ class L2TLBSlice:
             self.stats.per_chiplet_incoming[self.chiplet] += 1
         self._probe_arrive(req, self.chiplet)
         start = self.port.reserve(self.engine.now)
-        self.engine.at(
-            start + self.lookup_latency, lambda: self._lookup_done(req)
-        )
+        self.engine.at(start + self.lookup_latency, self._lookup_done, req)
 
     def _lookup_done(self, req):
         entry = self.tlb.lookup(req.vpn)
@@ -135,12 +133,12 @@ class L2TLBSlice:
             self.stats.page_faults += 1
             self.stats.fault_cycles += system.fault_latency
             handler.handle(vpn, self.chiplet)
-            self.engine.after(
-                system.fault_latency,
-                lambda: system.walkers[self.chiplet].walk(vpn, self._walk_done),
-            )
+            self.engine.after(system.fault_latency, self._walk, vpn)
             return
-        system.walkers[self.chiplet].walk(vpn, self._walk_done)
+        self._walk(vpn)
+
+    def _walk(self, vpn):
+        self.system.walkers[self.chiplet].walk(vpn, self._walk_done)
 
     def _walk_done(self, record):
         vpn = record.vpn
@@ -177,7 +175,7 @@ class L2TLBSlice:
     def _respond(self, req, entry, walk):
         system = self.system
         arrive = system.interconnect.traverse(
-            self.chiplet, req.origin, self.engine.now, kind="translation"
+            self.chiplet, req.origin, self.engine.now, "translation"
         )
         self._probe_respond(req, entry, walk, self.chiplet, arrive)
         latency = arrive - req.t0
@@ -196,10 +194,7 @@ class L2TLBSlice:
 
         if req.cache_locally and self.chiplet != req.origin:
             # Figure 16: install the translation in the requester's slice.
-            origin_slice = system.slices[req.origin]
-            clone = TLBEntry(
-                entry.vpn, entry.ppn, entry.data_home, entry.coarse_home
-            )
-            self.engine.at(arrive, lambda: origin_slice.tlb.insert(clone))
+            self.engine.at(arrive, system.slices[req.origin].tlb.insert, entry)
 
-        self.engine.at(arrive, lambda: req.callback(req.vpn, entry))
+        req.entry = entry
+        self.engine.at(arrive, req.callback, req)

@@ -74,7 +74,11 @@ class TranslationSystem:
         return self.dynamic_hsl.coarse_home(va)
 
     def request(self, cu, vpn, t, callback):
-        """Route an L1 TLB miss from ``cu`` detected at time ``t``."""
+        """Route an L1 TLB miss from ``cu`` detected at time ``t``.
+
+        ``callback(req)`` runs when the response reaches the CU, with the
+        translation in ``req.entry``.
+        """
         va = vpn * self._page_size
         origin = cu.chiplet
         req = TranslationRequest(vpn, va, origin, cu, t, callback)
@@ -99,24 +103,20 @@ class TranslationSystem:
             self.balance.note_routed(origin, target)
 
         interconnect = self.interconnect
-        arrive = interconnect.traverse(origin, target, t, kind="translation")
+        arrive = interconnect.traverse(origin, target, t, "translation")
         self._probe_route(
             req, origin, target, t, arrive, interconnect.hop_count(origin, target)
         )
-        slice_ = self.slices[target]
-        self.engine.at(arrive, lambda: slice_.receive(req))
+        self.engine.at(arrive, self.slices[target].receive, req)
 
     def forward(self, req, src, dst):
         """Move a request between slices (re-route or caching forward)."""
         if self.balance is not None:
             self.balance.note_routed(src, dst)
         interconnect = self.interconnect
-        arrive = interconnect.traverse(
-            src, dst, self.engine.now, kind="translation"
-        )
+        now = self.engine.now
+        arrive = interconnect.traverse(src, dst, now, "translation")
         self._probe_route(
-            req, src, dst, self.engine.now, arrive,
-            interconnect.hop_count(src, dst),
+            req, src, dst, now, arrive, interconnect.hop_count(src, dst)
         )
-        slice_ = self.slices[dst]
-        self.engine.at(arrive, lambda: slice_.receive(req))
+        self.engine.at(arrive, self.slices[dst].receive, req)

@@ -62,22 +62,20 @@ class WalkerPool:
 
     def walk(self, vpn, on_done):
         """Queue a walk; ``on_done(record)`` fires when it completes."""
-        record = WalkRecord(vpn, t_request=self.engine.now)
-        self.tokens.acquire(lambda: self._granted(record, on_done))
+        record = WalkRecord(vpn, self.engine.now, on_done)
+        self.tokens.acquire(self._granted, record)
 
-    def _granted(self, record, on_done):
+    def _granted(self, record):
         record.t_start = self.engine.now
         self.walks_started += 1
         self._probe_walk_start(record, self.chiplet)
-        record.start_level = self.pwc.first_level_to_fetch(
+        record.start_level = record.level = self.pwc.first_level_to_fetch(
             self.geometry, record.vpn
         )
-        self.engine.after(
-            self.pwc_latency,
-            lambda: self._fetch_level(record, record.start_level, on_done),
-        )
+        self.engine.after(self.pwc_latency, self._fetch_level, record)
 
-    def _fetch_level(self, record, level, on_done):
+    def _fetch_level(self, record):
+        level = record.level
         node = self.page_table.node_for(record.vpn, level)
         if node is None:
             raise RuntimeError(
@@ -88,23 +86,22 @@ class WalkerPool:
         home = node.home if node.home is not None else self.chiplet
         line = self.page_table.pte_line_address(node, record.vpn)
         done, remote = self.memory_system.access(
-            self.chiplet, home, line, self.engine.now, kind="pte"
+            self.chiplet, home, line, self.engine.now, "pte"
         )
         record.add_access(remote, done - self.engine.now)
         self._probe_walk_level(
             record, self.chiplet, level, remote, self.engine.now, done
         )
         if level > 1:
-            self.engine.at(
-                done, lambda: self._fetch_level(record, level - 1, on_done)
-            )
+            record.level = level - 1
+            self.engine.at(done, self._fetch_level, record)
         else:
-            self.engine.at(done, lambda: self._finish(record, on_done))
+            self.engine.at(done, self._finish, record)
 
-    def _finish(self, record, on_done):
+    def _finish(self, record):
         record.t_done = self.engine.now
         self.pwc.fill(self.geometry, record.vpn, record.start_level)
         self.walks_completed += 1
         self._probe_walk_done(record, self.chiplet)
         self.tokens.release()
-        on_done(record)
+        record.on_done(record)

@@ -8,9 +8,25 @@ which MGvm's switch-back logic reads (Section V of the paper).
 
 from collections import OrderedDict
 
+# Fibonacci-hash the set index: a slice behind an interleaving HSL only
+# ever sees VPNs with a fixed residue modulo the chiplet count, and a
+# plain ``vpn % num_sets`` would then use only a fraction of the sets.
+# Real L2 TLB slices index with bits above the slice-selection bits; a
+# multiplicative hash is the order-free equivalent.  The hot
+# ``lookup``/``insert`` compute it inline; the rest go through
+# ``_set_for``.
+_HASH_MULT = 0x9E3779B97F4A7C15
+_HASH_MASK = (1 << 64) - 1
+
 
 class TLBEntry:
-    """One cached translation."""
+    """One cached translation.
+
+    Entries are immutable once built: no code assigns their fields.  The
+    L2 slice that walks a page builds the entry, and the L1 TLB fill (and
+    the Figure 16 install in the requester's slice) shares that same
+    object instead of copying it.
+    """
 
     __slots__ = ("vpn", "ppn", "data_home", "coarse_home")
 
@@ -66,21 +82,14 @@ class TLB:
         self.insertions = 0
         self.evictions = 0
 
-    # Fibonacci-hash the set index: a slice behind an interleaving HSL
-    # only ever sees VPNs with a fixed residue modulo the chiplet count,
-    # and a plain ``vpn % num_sets`` would then use only a fraction of
-    # the sets.  Real L2 TLB slices index with bits above the slice-
-    # selection bits; a multiplicative hash is the order-free equivalent.
-    _HASH_MULT = 0x9E3779B97F4A7C15
-    _HASH_MASK = (1 << 64) - 1
-
     def _set_for(self, vpn):
-        hashed = ((vpn * self._HASH_MULT) & self._HASH_MASK) >> 40
+        hashed = ((vpn * _HASH_MULT) & _HASH_MASK) >> 40
         return self._sets[hashed % self.num_sets]
 
     def lookup(self, vpn):
         """Return the entry for ``vpn`` (refreshing LRU) or ``None``."""
-        line = self._set_for(vpn)
+        hashed = ((vpn * _HASH_MULT) & _HASH_MASK) >> 40
+        line = self._sets[hashed % self.num_sets]
         entry = line.get(vpn)
         if entry is None:
             self.misses += 1
@@ -95,14 +104,16 @@ class TLB:
 
     def insert(self, entry):
         """Insert ``entry``; return the evicted entry if any."""
-        line = self._set_for(entry.vpn)
+        vpn = entry.vpn
+        hashed = ((vpn * _HASH_MULT) & _HASH_MASK) >> 40
+        line = self._sets[hashed % self.num_sets]
         evicted = None
-        if entry.vpn in line:
-            line.move_to_end(entry.vpn)
+        if vpn in line:
+            line.move_to_end(vpn)
         elif len(line) >= self.assoc:
             _vpn, evicted = line.popitem(last=False)
             self.evictions += 1
-        line[entry.vpn] = entry
+        line[vpn] = entry
         self.insertions += 1
         return evicted
 

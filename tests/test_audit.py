@@ -123,9 +123,9 @@ class _RegressingQueue(HeapEventQueue):
     def drain(self, engine, until=None, max_events=None, record=None):
         executed = 0
         while len(self):
-            time, callback = self.pop()
+            time, fn, arg = self.pop()
             engine.now = time - 1000.0 if 500 <= executed < 550 else time
-            callback()
+            fn(arg)
             executed += 1
         return executed
 

@@ -20,30 +20,30 @@ class TestEventQueue:
 
     def test_push_pop_single(self):
         q = EventQueue()
-        q.push(5.0, "cb")
+        q.push(5.0, "fn", "arg")
         assert len(q) == 1
         assert q.peek_time() == 5.0
-        time, cb = q.pop()
-        assert time == 5.0 and cb == "cb"
+        time, fn, arg = q.pop()
+        assert time == 5.0 and fn == "fn" and arg == "arg"
 
     def test_orders_by_time(self):
         q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        q.push(3.0, None, "c")
+        q.push(1.0, None, "a")
+        q.push(2.0, None, "b")
+        assert [q.pop()[2] for _ in range(3)] == ["a", "b", "c"]
 
     def test_ties_broken_by_insertion_order(self):
         q = EventQueue()
         for name in "abc":
-            q.push(1.0, name)
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+            q.push(1.0, None, name)
+        assert [q.pop()[2] for _ in range(3)] == ["a", "b", "c"]
 
     @given(st.lists(st.floats(0, 1e9), min_size=1, max_size=50))
     def test_pops_in_nondecreasing_time_order(self, times):
         q = EventQueue()
         for t in times:
-            q.push(t, None)
+            q.push(t, None, None)
         popped = [q.pop()[0] for _ in range(len(times))]
         assert popped == sorted(popped)
 
@@ -77,7 +77,7 @@ class TestEngine:
     def test_at_advances_clock(self):
         e = Engine()
         seen = []
-        e.at(10.0, lambda: seen.append(e.now))
+        e.at(10.0, lambda engine: seen.append(engine.now), e)
         e.run()
         assert seen == [10.0]
         assert e.now == 10.0
@@ -85,26 +85,29 @@ class TestEngine:
     def test_after_is_relative(self):
         e = Engine()
         order = []
-        e.at(5.0, lambda: e.after(3.0, lambda: order.append(e.now)))
+        def note_now(_):
+            order.append(e.now)
+
+        e.at(5.0, lambda delay: e.after(delay, note_now, None), 3.0)
         e.run()
         assert order == [8.0]
 
     def test_rejects_scheduling_in_the_past(self):
         e = Engine()
-        e.at(10.0, lambda: None)
+        e.at(10.0, _noop, None)
         e.run()
         with pytest.raises(ValueError):
-            e.at(5.0, lambda: None)
+            e.at(5.0, _noop, None)
 
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
-            Engine().after(-1.0, lambda: None)
+            Engine().after(-1.0, _noop, None)
 
     def test_run_until_stops_before_later_events(self):
         e = Engine()
         seen = []
-        e.at(1.0, lambda: seen.append(1))
-        e.at(10.0, lambda: seen.append(10))
+        e.at(1.0, seen.append, 1)
+        e.at(10.0, seen.append, 10)
         e.run(until=5.0)
         assert seen == [1]
         e.run()
@@ -114,7 +117,7 @@ class TestEngine:
         e = Engine()
         seen = []
         for i in range(5):
-            e.at(float(i), lambda i=i: seen.append(i))
+            e.at(float(i), seen.append, i)
         executed = e.run(max_events=3)
         assert executed == 3
         assert seen == [0, 1, 2]
@@ -122,7 +125,7 @@ class TestEngine:
     def test_events_executed_counter(self):
         e = Engine()
         for i in range(4):
-            e.at(float(i), lambda: None)
+            e.at(float(i), _noop, None)
         e.run()
         assert e.events_executed == 4
 
@@ -133,9 +136,9 @@ class TestEngine:
         def cascade(depth):
             order.append((e.now, depth))
             if depth < 3:
-                e.after(1.0, lambda: cascade(depth + 1))
+                e.after(1.0, cascade, depth + 1)
 
-        e.at(0.0, lambda: cascade(0))
+        e.at(0.0, cascade, 0)
         e.run()
         assert order == [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)]
 
@@ -144,7 +147,7 @@ class TestEngine:
         e = Engine()
         order = []
         for i in range(8):
-            e.at(5.0, lambda i=i: order.append(i))
+            e.at(5.0, order.append, i)
         e.run()
         assert order == list(range(8))
 
@@ -153,8 +156,12 @@ class TestEngine:
         this drain batch, after already-queued peers (FIFO among ties)."""
         e = Engine()
         order = []
-        e.at(1.0, lambda: (order.append("a"), e.after(0.0, lambda: order.append("c"))))
-        e.at(1.0, lambda: order.append("b"))
+        def first(label):
+            order.append(label)
+            e.after(0.0, order.append, "c")
+
+        e.at(1.0, first, "a")
+        e.at(1.0, order.append, "b")
         e.run()
         assert order == ["a", "b", "c"]
         assert e.now == 1.0
@@ -164,8 +171,8 @@ class TestEngine:
         e = Engine()
         order = []
         for i in range(3):
-            e.at(2.0, lambda i=i: order.append(i))
-        e.at(7.0, lambda: order.append("late"))
+            e.at(2.0, order.append, i)
+        e.at(7.0, order.append, "late")
         executed = e.run(until=2.0)
         assert executed == 3
         assert order == [0, 1, 2]
@@ -176,7 +183,7 @@ class TestEngine:
         e = Engine()
         order = []
         for i in range(5):
-            e.at(1.0, lambda i=i: order.append(i))
+            e.at(1.0, order.append, i)
         executed = e.run(until=10.0, max_events=2)
         assert executed == 2
         assert order == [0, 1]
@@ -188,11 +195,15 @@ class TestEngine:
             e = Engine()
             log = []
             for i in range(10):
-                e.at(i % 3, lambda i=i: log.append(i))
+                e.at(i % 3, log.append, i)
             e.run()
             return log
 
         assert build_and_run() == build_and_run()
+
+
+def _noop(_arg):
+    pass
 
 
 def _engine_with(queue):
@@ -222,8 +233,8 @@ class TestQueueDisciplineEquivalence:
     def test_static_schedule_pops_identically(self, times):
         heap_q, cal_q = HeapEventQueue(), CalendarEventQueue()
         for i, t in enumerate(times):
-            heap_q.push(t, i)
-            cal_q.push(t, i)
+            heap_q.push(t, _noop, i)
+            cal_q.push(t, _noop, i)
         heap_order = [heap_q.pop() for _ in range(len(times))]
         cal_order = [cal_q.pop() for _ in range(len(times))]
         assert heap_order == cal_order
@@ -237,8 +248,8 @@ class TestQueueDisciplineEquivalence:
             + [(5.5, 300), (4.0, 301)]  # fractional + earlier
         )
         for t, label in schedule:
-            heap_q.push(t, label)
-            cal_q.push(t, label)
+            heap_q.push(t, _noop, label)
+            cal_q.push(t, _noop, label)
         n = len(schedule)
         assert [heap_q.pop() for _ in range(n)] == [
             cal_q.pop() for _ in range(n)
@@ -272,18 +283,16 @@ class TestQueueDisciplineEquivalence:
             log = []
             counter = [0]
 
-            def make(label, delays):
-                def cb():
-                    log.append((engine.now, label))
-                    for d in delays:
-                        child = counter[0]
-                        counter[0] += 1
-                        engine.after(d, make(child, ()))
-
-                return cb
+            def fire(event):
+                label, delays = event
+                log.append((engine.now, label))
+                for d in delays:
+                    child = counter[0]
+                    counter[0] += 1
+                    engine.after(d, fire, (child, ()))
 
             for i, (t, delays) in enumerate(program):
-                engine.at(t, make(("root", i), delays))
+                engine.at(t, fire, (("root", i), delays))
             engine.run()
             return log
 
@@ -306,7 +315,7 @@ class TestQueueDisciplineEquivalence:
             engine = _engine_with(queue)
             log = []
             for i, t in enumerate(times):
-                engine.at(t, lambda i=i: log.append((engine.now, i)))
+                engine.at(t, lambda i: log.append((engine.now, i)), i)
             first = engine.run(until=until, max_events=max_events)
             marker = len(log)
             rest = engine.run()
@@ -314,12 +323,59 @@ class TestQueueDisciplineEquivalence:
 
         assert run(HeapEventQueue()) == run(CalendarEventQueue())
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 3.0, 1500.0]), _any_time),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    @settings(deadline=None)
+    def test_fn_arg_entries_pop_and_dispatch_identically(self, schedule):
+        """Entries are ``(time, seq, fn, arg)``: both disciplines pop the
+        same ``(time, fn, arg)`` triples in ``(time, seq)`` order — FIFO
+        among ties, whichever ``fn`` the entry holds — and ``drain``
+        dispatches each as ``fn(arg)`` in that order."""
+        log = []
+        fns = [
+            lambda arg: log.append(("a", arg)),
+            lambda arg: log.append(("b", arg)),
+            lambda arg: log.append(("c", arg)),
+        ]
+        heap_q, cal_q = HeapEventQueue(), CalendarEventQueue()
+        for i, (t, which) in enumerate(schedule):
+            heap_q.push(t, fns[which], i)
+            cal_q.push(t, fns[which], i)
+        n = len(schedule)
+        heap_order = [heap_q.pop() for _ in range(n)]
+        assert heap_order == [cal_q.pop() for _ in range(n)]
+        expected = sorted(
+            (t, i, fns[which]) for i, (t, which) in enumerate(schedule)
+        )
+        assert heap_order == [(t, fn, i) for t, i, fn in expected]
+
+        dispatched = []
+        for queue in (HeapEventQueue(), CalendarEventQueue()):
+            engine = _engine_with(queue)
+            del log[:]
+            for i, (t, which) in enumerate(schedule):
+                engine.at(t, fns[which], i)
+            assert engine.run() == n
+            dispatched.append(list(log))
+        assert dispatched[0] == dispatched[1]
+        assert dispatched[0] == [
+            ("abc"[schedule[i][1]], i) for _t, i, _fn in expected
+        ]
+
     @given(st.lists(_any_time, min_size=1, max_size=60))
     def test_len_and_peek_agree(self, times):
         heap_q, cal_q = HeapEventQueue(), CalendarEventQueue()
         for i, t in enumerate(times):
-            heap_q.push(t, i)
-            cal_q.push(t, i)
+            heap_q.push(t, _noop, i)
+            cal_q.push(t, _noop, i)
             assert len(heap_q) == len(cal_q)
             assert heap_q.peek_time() == cal_q.peek_time()
         while len(heap_q):
@@ -338,8 +394,8 @@ class TestStoppingRulesPerDiscipline:
 
     def test_until_is_inclusive(self, engine):
         seen = []
-        engine.at(5.0, lambda: seen.append("at"))
-        engine.at(5.5, lambda: seen.append("after"))
+        engine.at(5.0, seen.append, "at")
+        engine.at(5.5, seen.append, "after")
         engine.run(until=5.0)
         assert seen == ["at"]
 
@@ -348,16 +404,16 @@ class TestStoppingRulesPerDiscipline:
 
         def chain(i):
             seen.append(i)
-            engine.after(0.0, lambda: chain(i + 1))
+            engine.after(0.0, chain, i + 1)
 
-        engine.at(0.0, lambda: chain(0))
+        engine.at(0.0, chain, 0)
         executed = engine.run(max_events=4)
         assert executed == 4
         assert seen == [0, 1, 2, 3]
 
     def test_far_future_event_after_long_idle_gap(self, engine):
         seen = []
-        engine.at(1.0, lambda: engine.at(50_000.0, lambda: seen.append(1)))
+        engine.at(1.0, lambda _: engine.at(50_000.0, seen.append, 1), None)
         engine.run()
         assert seen == [1]
         assert engine.now == 50_000.0
@@ -365,6 +421,20 @@ class TestStoppingRulesPerDiscipline:
     def test_run_on_empty_queue_returns_zero(self, engine):
         assert engine.run() == 0
         assert engine.run(until=10.0) == 0
+
+    def test_at_before_now_raises(self, engine):
+        engine.at(10.0, _noop, None)
+        engine.run()
+        with pytest.raises(ValueError, match="past"):
+            engine.at(engine.now - 1, _noop, None)
+        assert len(engine.events) == 0
+
+    def test_negative_after_raises(self, engine):
+        engine.at(10.0, _noop, None)
+        engine.run()
+        with pytest.raises(ValueError, match="negative delay"):
+            engine.after(-1, _noop, None)
+        assert len(engine.events) == 0
 
 
 class TestTimeline:
@@ -415,7 +485,7 @@ class TestTokenPool:
         pool = TokenPool(e, 2)
         granted = []
         for i in range(3):
-            pool.acquire(lambda i=i: granted.append(i))
+            pool.acquire(granted.append, i)
         e.run()
         assert granted == [0, 1]
         assert pool.queue_length == 1
@@ -425,7 +495,7 @@ class TestTokenPool:
         pool = TokenPool(e, 1)
         granted = []
         for i in range(3):
-            pool.acquire(lambda i=i: granted.append(i))
+            pool.acquire(granted.append, i)
         e.run()
         pool.release()
         e.run()
@@ -453,8 +523,8 @@ class TestTokenPool:
     def test_in_use_tracking(self):
         e = Engine()
         pool = TokenPool(e, 3)
-        pool.acquire(lambda: None)
-        pool.acquire(lambda: None)
+        pool.acquire(_noop, None)
+        pool.acquire(_noop, None)
         assert pool.in_use == 2
         pool.release()
         assert pool.in_use == 1
@@ -467,9 +537,9 @@ class TestTokenPool:
 
         def work(i):
             granted.append(i)
-            e.after(1.0, pool.release)
+            e.after(1.0, lambda _: pool.release(), None)
 
         for i in range(requests):
-            pool.acquire(lambda i=i: work(i))
+            pool.acquire(work, i)
         e.run()
         assert granted == list(range(requests))

@@ -25,11 +25,11 @@ def test_run_profiled_matches_run_semantics():
         engine = Engine()
 
         def emit(tag):
-            return lambda: log.append((tag, engine.now))
+            log.append((tag, engine.now))
 
-        engine.at(5.0, emit("b"))
-        engine.at(1.0, emit("a"))
-        engine.at(5.0, emit("c"))  # FIFO among ties
+        engine.at(5.0, emit, "b")
+        engine.at(1.0, emit, "a")
+        engine.at(5.0, emit, "c")  # FIFO among ties
         return engine
 
     build(plain).run()
@@ -42,14 +42,20 @@ def test_run_profiled_matches_run_semantics():
     assert executed == 3
     assert profiled == plain == [("a", 1.0), ("b", 5.0), ("c", 5.0)]
     assert len(records) == 3
-    assert all(seconds >= 0.0 for _cb, seconds in records)
+    assert all(seconds >= 0.0 for _fn, seconds in records)
+    # ``record`` receives the event's function, not a wrapper around it.
+    assert {fn.__name__ for fn, _seconds in records} == {"emit"}
+
+
+def _noop(_arg):
+    pass
 
 
 def test_run_profiled_honours_until_and_max_events():
     def build():
         engine = Engine()
         for t in (1.0, 2.0, 3.0, 4.0):
-            engine.at(t, lambda: None)
+            engine.at(t, _noop, None)
         return engine
 
     engine = build()
@@ -131,6 +137,31 @@ def test_profile_attributes_known_components(profiled_run):
     text = profiler.format_report(top=5)
     assert "us/event" in text
     assert "host wall-clock" in text
+
+
+def test_translation_path_events_are_named_methods():
+    """Every event kind is a named function: no closure is scheduled, so
+    no bucket is a ``<lambda>`` or a ``<locals>`` function, and the
+    translation response is billed to the CU that consumes it."""
+    kernel = build_kernel("SYRK", scale="smoke")
+    params = scaled_params("smoke")
+    profiler = HostProfiler()
+    simulate(kernel, params, design("mgvm"), profiler=profiler)
+    rows = profiler.rows()
+    events = {event for _component, event, _s, _calls in rows}
+    assert not [e for e in events if "<lambda>" in e or "<locals>" in e]
+    translated = [
+        (component, calls)
+        for component, event, _s, calls in rows
+        if event == "ComputeUnit._translated"
+    ]
+    assert len(translated) == 1
+    component, calls = translated[0]
+    assert component == "compute-unit"
+    assert calls > 0
+    for name in ("L2TLBSlice._lookup_done", "WalkerPool._fetch_level",
+                 "_WavefrontSlot._issue"):
+        assert name in events
 
 
 def test_speedscope_export_is_loadable(profiled_run, tmp_path):

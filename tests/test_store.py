@@ -21,6 +21,8 @@ bearing guarantees:
 """
 
 import json
+import multiprocessing
+import os
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
@@ -45,6 +47,18 @@ def _insert(store, workload="GUPS", design="mgvm", **fields):
         "config_hash", config_hash("smoke", workload, design, {}, 1, 0)
     )
     return store.insert_run(workload, design, dict(COUNTERS), **fields)
+
+
+def _open_fresh_stores(barrier, paths, errors):
+    """Open and close each fresh store in step with a peer process."""
+    failed = 0
+    for path in paths:
+        barrier.wait()
+        try:
+            RunStore(path).close()
+        except sqlite3.OperationalError:
+            failed += 1
+    errors.put(failed)
 
 
 def _worker_insert(path, worker, inserts):
@@ -145,6 +159,37 @@ class TestConcurrency:
             assert len(runs) == workers * inserts
             # Every run kept its full counter set (no torn writes).
             assert all(run["counters"] == COUNTERS for run in runs)
+
+    def test_two_processes_open_fresh_stores_without_lock_errors(
+        self, tmp_path
+    ):
+        """Two openers of one fresh store race in ``PRAGMA journal_mode =
+        WAL``; the loser must wait for the lock, not raise ``database is
+        locked``."""
+        paths = [str(tmp_path / ("fresh-%03d.db" % i)) for i in range(100)]
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2, timeout=60)
+        errors = context.Queue()
+        processes = [
+            context.Process(
+                target=_open_fresh_stores, args=(barrier, paths, errors)
+            )
+            for _ in range(2)
+        ]
+        try:
+            for process in processes:
+                process.start()
+            failed = [errors.get(timeout=120) for _ in processes]
+            for process in processes:
+                process.join(60)
+        finally:
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
+                    process.join()
+        assert [process.exitcode for process in processes] == [0, 0]
+        assert failed == [0, 0]
+        assert all(os.path.exists(path) for path in paths)
 
     def test_parallel_sweep_workers_store_every_run(self, tmp_path):
         """End to end: a --jobs 2 sweep writes one row per point."""

@@ -175,15 +175,16 @@ class TestDynamicRerouting:
         # what the monitors would decide.
         hsl = sim.launch.hsl
 
-        def force_switch():
-            hsl.command("fine")
+        def force_switch(mode):
+            hsl.command(mode)
             for component in hsl.components():
                 sim.engine.after(
                     32.0 * (1 + hash(component) % 3),
-                    lambda c=component: hsl.apply(c, "fine"),
+                    lambda c: hsl.apply(c, mode),
+                    component,
                 )
 
-        sim.engine.at(50.0, force_switch)
+        sim.engine.at(50.0, force_switch, "fine")
         stats = sim.run()
         # Every access still completes despite in-flight re-routing.
         assert stats.instructions == stats.mem_accesses * 2
